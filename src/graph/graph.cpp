@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "sim/engine.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace overlay {
 
@@ -81,6 +83,50 @@ Graph Graph::Permuted(const std::vector<NodeId>& perm) const {
     builder.AddEdge(perm[u], perm[v]);
   }
   return std::move(builder).Build();
+}
+
+Graph Graph::InducedSubgraph(std::span<const NodeId> new_id,
+                             const ExecPolicy& exec) const {
+  const std::size_t n = num_nodes();
+  OVERLAY_CHECK(new_id.size() == n, "renaming size mismatch");
+  std::size_t kept = 0;
+  for (const NodeId id : new_id) {
+    if (id == kInvalidNode) continue;
+    OVERLAY_CHECK(id == kept, "induced renaming must be dense and ascending");
+    ++kept;
+  }
+
+  Graph h;
+  h.offsets_.assign(kept + 1, 0);
+  const auto count = [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (new_id[v] == kInvalidNode) continue;
+      std::size_t deg = 0;
+      for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+        deg += new_id[adjacency_[i]] != kInvalidNode;
+      }
+      h.offsets_[new_id[v] + 1] = deg;
+    }
+  };
+  const auto fill = [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (new_id[v] == kInvalidNode) continue;
+      std::size_t out = h.offsets_[new_id[v]];
+      for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+        const NodeId w = new_id[adjacency_[i]];
+        if (w != kInvalidNode) h.adjacency_[out++] = w;
+      }
+    }
+  };
+  const std::size_t shards = exec.ShardsFor(n);
+  const std::size_t chunks = shards * kStealChunksPerWorker;
+  RunDynamicBlocks(exec.Pool(), n, shards, chunks, count);
+  for (std::size_t i = 1; i <= kept; ++i) {
+    h.offsets_[i] += h.offsets_[i - 1];
+  }
+  h.adjacency_.resize(h.offsets_[kept]);
+  RunDynamicBlocks(exec.Pool(), n, shards, chunks, fill);
+  return h;
 }
 
 void DigraphBuilder::AddArc(NodeId u, NodeId v) {

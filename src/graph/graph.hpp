@@ -16,6 +16,7 @@
 namespace overlay {
 
 class Graph;
+struct ExecPolicy;
 
 /// Accumulates undirected edges, then freezes them into a CSR `Graph`.
 /// Duplicate edges and self-loops are deduplicated/discarded by default
@@ -59,6 +60,19 @@ class Graph {
 
   /// Renames node ids by `perm` (perm[old] = new); used by id-invariance tests.
   Graph Permuted(const std::vector<NodeId>& perm) const;
+
+  /// Subgraph induced by the kept nodes of a dense, monotone renaming:
+  /// new_id[v] is v's id in the result, or kInvalidNode when v is dropped,
+  /// and the kept nodes are numbered 0, 1, 2, ... in ascending order of v
+  /// (checked). Monotone renaming keeps every filtered neighbour list sorted
+  /// and duplicate-free, so the CSR is built in O(n + m) with no sort: a
+  /// degree pass, a serial prefix sum, and a fill pass, each over contiguous
+  /// node blocks claimed work-stealing on `exec`'s pool. Writes are disjoint
+  /// and nothing is random, so the result is shard-count-invariant. For a
+  /// short sorted node list, hybrid/components.hpp's InducedSubgraph(g,
+  /// nodes) avoids the O(n) renaming array.
+  Graph InducedSubgraph(std::span<const NodeId> new_id,
+                        const ExecPolicy& exec) const;
 
  private:
   friend class GraphBuilder;

@@ -1,10 +1,9 @@
 #include "overlay/churn.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.hpp"
-#include "graph/metrics.hpp"
 #include "sim/shard_pool.hpp"
 
 namespace overlay {
@@ -56,73 +55,58 @@ ChurnResult ExtractSurvivors(const Graph& g, std::vector<char> alive,
                              const ExecPolicy& exec) {
   OVERLAY_CHECK(alive.size() == g.num_nodes(), "alive mask size mismatch");
   const std::size_t n = g.num_nodes();
-  const std::size_t shards = exec.ShardsFor(n);
 
+  // Components of the survivor-induced subgraph: one flat-queue BFS over g
+  // that skips dead nodes. Starts ascend, so labels, count and the first-max
+  // tie-break are those of labelling the induced subgraph itself. Dead nodes
+  // carry a label no component takes, so the BFS tests one array per edge.
+  constexpr std::uint32_t kNoLabel = 0xffffffffu;
+  constexpr std::uint32_t kDead = 0xfffffffeu;
   ChurnResult result;
   result.alive = std::move(alive);
-
-  // Dense re-indexing of the survivors (serial prefix pass, O(n)).
-  std::vector<NodeId> local(n, kInvalidNode);
+  std::vector<std::uint32_t> label(n, kDead);
   for (NodeId v = 0; v < n; ++v) {
     if (result.alive[v]) {
-      local[v] = static_cast<NodeId>(result.survivors++);
+      label[v] = kNoLabel;
       result.survivor_global.push_back(v);
     }
   }
-
-  // Surviving-edge filter: contiguous edge blocks scanned work-stealing
-  // (survivor density — and with it per-block cost — is skewed after a
-  // strike, so blocks are oversubscribed ~4x per worker); the builder merge
-  // stays serial (GraphBuilder is not thread-safe) and walks chunks in
-  // index order, so the kept-edge order equals the serial scan's for every
-  // (worker, chunk) shape. No randomness — the edge set is invariant.
-  const auto edges = g.EdgeList();
-  const std::size_t chunks = shards * kStealChunksPerWorker;
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> kept(chunks);
-  RunDynamicBlocks(exec.Pool(), edges.size(), shards, chunks,
-                   [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                     auto& mine = kept[c];
-                     for (std::size_t i = lo; i < hi; ++i) {
-                       const auto& [u, v] = edges[i];
-                       if (result.alive[u] && result.alive[v]) {
-                         mine.emplace_back(local[u], local[v]);
-                       }
-                     }
-                   });
-
-  GraphBuilder sb(result.survivors);
-  for (const auto& shard_kept : kept) {
-    for (const auto& [u, v] : shard_kept) sb.AddEdge(u, v);
-  }
-  result.survivor_graph = std::move(sb).Build();
-
-  if (result.survivors == 0) {
-    result.largest_component = GraphBuilder(0).Build();
-    return result;
-  }
-
-  // Largest component, re-indexed densely against global ids.
-  const auto labels = ConnectedComponentLabels(result.survivor_graph);
-  const auto sizes = ComponentSizes(labels);
-  result.num_components = sizes.size();
-  const auto best = static_cast<std::uint32_t>(
-      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  std::vector<NodeId> comp_local(result.survivors, kInvalidNode);
-  for (NodeId v = 0; v < result.survivors; ++v) {
-    if (labels[v] == best) {
-      comp_local[v] = static_cast<NodeId>(result.component_global.size());
-      result.component_global.push_back(result.survivor_global[v]);
-    }
-  }
-  GraphBuilder cb(result.component_global.size());
-  for (const auto& shard_kept : kept) {
-    for (const auto& [u, v] : shard_kept) {
-      if (comp_local[u] != kInvalidNode && comp_local[v] != kInvalidNode) {
-        cb.AddEdge(comp_local[u], comp_local[v]);
+  result.survivors = result.survivor_global.size();
+  std::vector<NodeId> queue(result.survivors);
+  std::size_t tail = 0;
+  std::size_t best_size = 0;
+  std::uint32_t best = 0;
+  for (const NodeId start : result.survivor_global) {
+    if (label[start] != kNoLabel) continue;
+    const auto c = static_cast<std::uint32_t>(result.num_components++);
+    const std::size_t first = tail;
+    label[start] = c;
+    queue[tail++] = start;
+    for (std::size_t head = first; head < tail; ++head) {
+      for (const NodeId w : g.Neighbors(queue[head])) {
+        if (label[w] == kNoLabel) {
+          label[w] = c;
+          queue[tail++] = w;
+        }
       }
     }
+    if (tail - first > best_size) {
+      best_size = tail - first;
+      best = c;
+    }
   }
-  result.largest_component = std::move(cb).Build();
+
+  // Largest component: its members renamed in ascending order, then one
+  // sort-free induced CSR straight from g's.
+  std::vector<NodeId> new_id(n, kInvalidNode);
+  result.component_global.reserve(best_size);
+  for (const NodeId v : result.survivor_global) {
+    if (label[v] == best) {
+      new_id[v] = static_cast<NodeId>(result.component_global.size());
+      result.component_global.push_back(v);
+    }
+  }
+  result.largest_component = g.InducedSubgraph(new_id, exec);
   return result;
 }
 

@@ -4,11 +4,17 @@
 // failures a logarithmic minimum cut keeps the network connected w.h.p., so
 // an overlay epoch kills a random fraction of nodes, keeps the connected
 // wreckage, and reconstructs from scratch in O(log n). This module is the
-// engine-side half of that loop — the churn strike and the survivor-graph
+// engine-side half of that loop — the churn strike and the survivor
 // extraction — shared by the churn example, the robustness bench, and the
 // 1M-node churn scenarios.
 //
-// Sharded compute: the kill pass and the surviving-edge filter run in
+// Extraction is O(n + m) and sort-free: one flat-queue BFS over `g` that
+// skips dead nodes labels the survivors' components, and the largest one is
+// cut out of `g`'s CSR by Graph::InducedSubgraph (the ascending renaming of
+// its members keeps every neighbour list sorted). The full survivor graph is
+// never materialised.
+//
+// Sharded compute: the kill pass and the two induced-CSR passes run in
 // contiguous blocks on the persistent shard pool (sim/shard_pool.hpp),
 // claimed work-stealing (ShardPool::RunDynamic) because a strike leaves
 // per-block costs skewed; the kill pass keeps one split RNG stream per
@@ -33,7 +39,7 @@ namespace overlay {
 struct ChurnOptions {
   /// Independent per-node failure probability.
   double failure_prob = 0.0;
-  /// Execution context for the kill + edge-filter passes (sim/engine.hpp).
+  /// Execution context for the kill and induced-CSR passes (sim/engine.hpp).
   ExecPolicy exec;
 };
 
@@ -43,15 +49,16 @@ struct ChurnResult {
   std::vector<char> alive;
   std::size_t survivors = 0;
 
-  /// Subgraph induced by the survivors, re-indexed to dense local ids.
-  Graph survivor_graph;
-  /// Global id of survivor-local node i.
+  /// Global ids of the survivors, ascending.
   std::vector<NodeId> survivor_global;
 
-  /// Largest connected component of the survivor graph, re-indexed densely.
+  /// Largest connected component of the survivor-induced subgraph (the
+  /// lowest-labelled one on a tie, labels ascending by smallest member),
+  /// re-indexed densely in ascending global-id order.
   Graph largest_component;
-  /// Global id of component-local node i.
+  /// Global id of component-local node i (ascending).
   std::vector<NodeId> component_global;
+  /// Connected components among the survivors.
   std::size_t num_components = 0;
 
   /// Fraction of survivors inside the largest component (0 when everybody
@@ -65,17 +72,18 @@ struct ChurnResult {
 };
 
 /// Kills each node of `g` independently with probability
-/// `opts.failure_prob`, then extracts the survivor graph and its largest
-/// component. `rng` supplies the kill randomness (consumed directly at one
-/// shard; split into per-shard streams otherwise).
+/// `opts.failure_prob`, then extracts the survivors' largest component.
+/// `rng` supplies the kill randomness (consumed directly at one shard; split
+/// into per-shard streams otherwise).
 ChurnResult ApplyChurn(const Graph& g, const ChurnOptions& opts, Rng& rng);
 
 /// The strike-agnostic second half of ApplyChurn: given an explicit alive
-/// mask (alive.size() == g.num_nodes()), extracts the induced survivor
-/// graph, the largest component, and the cohesion accounting. Randomness-
-/// free, so the result is shard-count-invariant; the edge filter runs
-/// work-stealing on the shard pool. This is the seam the adversary
-/// subsystem targets: any victim-selection policy composes with it.
+/// mask (alive.size() == g.num_nodes()), labels the survivors' components
+/// and extracts the largest one with the cohesion accounting, in O(n + m)
+/// and without sorting. Randomness-free, so the result is shard-count-
+/// invariant; the induced-CSR passes run work-stealing on the shard pool.
+/// This is the seam the adversary subsystem targets: any victim-selection
+/// policy composes with it.
 ChurnResult ExtractSurvivors(const Graph& g, std::vector<char> alive,
                              const ExecPolicy& exec = {});
 

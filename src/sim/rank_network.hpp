@@ -30,8 +30,7 @@
 // or DecodeFrame throws — checksums break deterministically either way.
 //
 // The default transport is an engine-owned LoopbackTransport; inject
-// EngineConfig::transport to ship through another backend (SocketTransport
-// documents the byte-stream framing a real one speaks).
+// EngineConfig::transport to ship through another backend.
 #pragma once
 
 #include <cstdint>

@@ -120,22 +120,4 @@ void LoopbackTransport::AllToAllv(
   bytes_shipped_ += shipped;
 }
 
-SocketTransport::SocketTransport(std::size_t my_rank,
-                                 std::vector<Endpoint> peers)
-    : my_rank_(my_rank), peers_(std::move(peers)) {
-  OVERLAY_CHECK(!peers_.empty(), "socket transport needs at least one peer");
-  OVERLAY_CHECK(my_rank_ < peers_.size(),
-                "socket transport rank outside its peer table");
-}
-
-void SocketTransport::AllToAllv(std::vector<std::vector<WireBytes>>&,
-                                std::vector<std::vector<WireBytes>>&) {
-  // No real backend yet; the framing a future one must speak is documented
-  // on the class. Failing loudly here keeps the stub honest: nothing can
-  // accidentally "pass" over a transport that moves no bytes.
-  OVERLAY_CHECK(false,
-                "SocketTransport is a wire-framing stub: no socket backend "
-                "is built in this repo (use LoopbackTransport)");
-}
-
 }  // namespace overlay

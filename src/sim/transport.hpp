@@ -23,15 +23,12 @@
 // `Transport` is the pluggable mover: one collective AllToAllv per round,
 // cell (r, q) carrying rank r's frames for rank q. `LoopbackTransport` is
 // the in-process backend (deterministic; copies cells thread-per-rank on a
-// ShardPool). `SocketTransport` is a compiled stub that documents the
-// byte-stream framing a real backend speaks; every method throws until one
-// exists (the ROADMAP's remaining distributed work).
+// ShardPool).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sim/message_soa.hpp"
@@ -125,44 +122,6 @@ class LoopbackTransport final : public Transport {
   std::size_t ranks_;
   ShardPool* pool_;  ///< resolved at construction; never null
   std::uint64_t bytes_shipped_ = 0;
-};
-
-/// Stub documenting the byte-stream framing of a real socket/MPI backend —
-/// the ROADMAP's remaining distributed work. The contract a real
-/// implementation speaks, per AllToAllv call and per peer rank q != r:
-///
-///   1. write: u64 blob_length, then outgoing[r][q] verbatim (blob_length
-///      bytes of back-to-back frames — the outer length prefix lets a
-///      streaming peer read the cell without parsing frames);
-///   2. read q's symmetric length-prefixed blob into incoming cell (q → r)
-///      — rank r only ever materializes row r of the incoming matrix;
-///   3. barrier: the collective returns only when every peer's blob landed
-///      (MPI mapping: the run buffers + the merged offset matrix are exactly
-///      MPI_Alltoallv's sendbuf/sdispls arguments).
-///
-/// Frame integrity (magic, round, checksum) is still verified by DecodeFrame
-/// at the receiver, so a torn or reordered stream fails loudly. Every method
-/// throws ContractViolation until a real backend exists; construction is
-/// allowed so callers can wire up configuration and tests can pin the stub's
-/// behavior.
-class SocketTransport final : public Transport {
- public:
-  struct Endpoint {
-    std::string host;
-    std::uint16_t port = 0;
-  };
-
-  SocketTransport(std::size_t my_rank, std::vector<Endpoint> peers);
-
-  std::size_t num_ranks() const override { return peers_.size(); }
-  [[noreturn]] void AllToAllv(
-      std::vector<std::vector<WireBytes>>& outgoing,
-      std::vector<std::vector<WireBytes>>& incoming) override;
-  std::uint64_t bytes_shipped() const override { return 0; }
-
- private:
-  std::size_t my_rank_;
-  std::vector<Endpoint> peers_;
 };
 
 }  // namespace overlay

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "graph/graph.hpp"
+#include "sim/engine.hpp"
 
 namespace overlay {
 namespace {
@@ -104,6 +105,36 @@ TEST(Graph, PermutedPreservesStructure) {
 TEST(Graph, PermutedSizeMismatchThrows) {
   const Graph g = Triangle();
   EXPECT_THROW(g.Permuted({0, 1}), ContractViolation);
+}
+
+TEST(Graph, InducedSubgraphKeepsEdgesBetweenKeptNodes) {
+  // 0-1-2-3-4 path plus chords {0,2} and {1,4}; drop node 2.
+  GraphBuilder b(5);
+  for (NodeId v = 0; v + 1 < 5; ++v) b.AddEdge(v, v + 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 4);
+  const Graph g = std::move(b).Build();
+  const std::vector<NodeId> new_id = {0, 1, kInvalidNode, 2, 3};
+  for (const std::size_t shards : {1u, 2u, 5u}) {
+    const Graph h = g.InducedSubgraph(new_id, {.num_shards = shards});
+    EXPECT_EQ(h.num_nodes(), 4u);
+    EXPECT_EQ(h.EdgeList(),
+              (std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 3}, {2, 3}}));
+  }
+  const Graph none =
+      g.InducedSubgraph(std::vector<NodeId>(5, kInvalidNode), {});
+  EXPECT_EQ(none.num_nodes(), 0u);
+  EXPECT_EQ(none.num_edges(), 0u);
+}
+
+TEST(Graph, InducedSubgraphRejectsNonMonotoneRenaming) {
+  const Graph g = Triangle();
+  EXPECT_THROW(g.InducedSubgraph(std::vector<NodeId>{1, 0, 2}, {}),
+               ContractViolation);
+  EXPECT_THROW(g.InducedSubgraph(std::vector<NodeId>{0, 2, kInvalidNode}, {}),
+               ContractViolation);
+  EXPECT_THROW(g.InducedSubgraph(std::vector<NodeId>{0, 1}, {}),
+               ContractViolation);
 }
 
 TEST(Digraph, BasicArcs) {

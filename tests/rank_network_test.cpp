@@ -1,9 +1,9 @@
 // Unit tests for the rank-partitioned exchange: the wire format of
 // sim/transport.hpp (frame round-trips, rejection of corrupted frames), the
-// LoopbackTransport cell semantics, the SocketTransport stub contract, and
-// RankNetwork's bit-identity to the engines it wraps. The cross-engine grid
-// sweeps live in engine_equivalence_test.cpp and transport_fuzz_test.cpp;
-// this file pins the byte-level mechanics those sweeps rely on.
+// LoopbackTransport cell semantics, and RankNetwork's bit-identity to the
+// engines it wraps. The cross-engine grid sweeps live in
+// engine_equivalence_test.cpp and transport_fuzz_test.cpp; this file pins
+// the byte-level mechanics those sweeps rely on.
 #include "sim/rank_network.hpp"
 
 #include <gtest/gtest.h>
@@ -202,16 +202,6 @@ TEST(LoopbackTransportTest, RejectsNonEmptyDiagonal) {
   std::vector<std::vector<WireBytes>> outgoing(2, std::vector<WireBytes>(2));
   std::vector<std::vector<WireBytes>> incoming(2, std::vector<WireBytes>(2));
   outgoing[1][1] = {0x01};  // same-rank runs never leave the engine
-  EXPECT_THROW(transport.AllToAllv(outgoing, incoming), ContractViolation);
-}
-
-TEST(SocketTransportTest, StubDocumentsButNeverShips) {
-  SocketTransport transport(
-      0, {{.host = "node-a", .port = 9000}, {.host = "node-b", .port = 9000}});
-  EXPECT_EQ(transport.num_ranks(), 2u);
-  EXPECT_EQ(transport.bytes_shipped(), 0u);
-  std::vector<std::vector<WireBytes>> outgoing(2, std::vector<WireBytes>(2));
-  std::vector<std::vector<WireBytes>> incoming(2, std::vector<WireBytes>(2));
   EXPECT_THROW(transport.AllToAllv(outgoing, incoming), ContractViolation);
 }
 
