@@ -11,40 +11,10 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) {
     s = SplitMix64(sm);
-  }
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::NextBelow(std::uint64_t bound) {
-  OVERLAY_CHECK(bound > 0, "NextBelow requires a positive bound");
-  // Lemire-style rejection sampling: unbiased and fast for small bounds.
-  std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
-  for (;;) {
-    const std::uint64_t r = Next();
-    if (r >= threshold) {
-      return r % bound;
-    }
   }
 }
 

@@ -25,7 +25,17 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Raw 64 random bits.
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with std::shuffle).
   static constexpr result_type min() { return 0; }
@@ -33,7 +43,20 @@ class Rng {
   result_type operator()() { return Next(); }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased (rejection).
-  std::uint64_t NextBelow(std::uint64_t bound);
+  std::uint64_t NextBelow(std::uint64_t bound) {
+    OVERLAY_CHECK(bound > 0, "NextBelow requires a positive bound");
+    // Rejection sampling: draws below threshold = 2^64 mod bound are
+    // rejected. The threshold is below the bound, so a draw r >= bound is
+    // always accepted and the division computing the threshold runs only
+    // when r < bound — the same accept/reject decisions, hence the same
+    // stream, as computing it up front.
+    std::uint64_t r = Next();
+    if (r < bound) {
+      const std::uint64_t threshold = (~bound + 1) % bound;
+      while (r < threshold) r = Next();
+    }
+    return r % bound;
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
@@ -52,6 +75,10 @@ class Rng {
   Rng Split();
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

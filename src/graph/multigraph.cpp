@@ -9,41 +9,57 @@ namespace overlay {
 
 std::size_t Multigraph::Degree(NodeId v) const {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return slots_[v].size();
+  return degree_[v];
 }
 
 std::span<const NodeId> Multigraph::Slots(NodeId v) const {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return slots_[v];
+  return {slots_.data() + static_cast<std::size_t>(v) * stride_, degree_[v]};
 }
 
 std::size_t Multigraph::SelfLoopCount(NodeId v) const {
-  OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return static_cast<std::size_t>(
-      std::count(slots_[v].begin(), slots_[v].end(), v));
+  const auto row = Slots(v);
+  return static_cast<std::size_t>(std::count(row.begin(), row.end(), v));
 }
 
 void Multigraph::AddEdge(NodeId u, NodeId v) {
   OVERLAY_CHECK(u < num_nodes() && v < num_nodes(), "edge endpoint out of range");
   OVERLAY_CHECK(u != v, "use AddSelfLoop for self-loops");
-  slots_[u].push_back(v);
-  slots_[v].push_back(u);
+  Push(u, v);
+  Push(v, u);
 }
 
 void Multigraph::AddSelfLoop(NodeId v) {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  slots_[v].push_back(v);
+  Push(v, v);
 }
 
-NodeId Multigraph::RandomNeighbor(NodeId v, Rng& rng) const {
+std::span<NodeId> Multigraph::ResetSlots(NodeId v, std::size_t degree) {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  OVERLAY_CHECK(!slots_[v].empty(), "random step from isolated node");
-  return slots_[v][rng.NextBelow(slots_[v].size())];
+  OVERLAY_CHECK(degree <= stride_, "row degree exceeds the stride");
+  degree_[v] = static_cast<std::uint32_t>(degree);
+  return {slots_.data() + static_cast<std::size_t>(v) * stride_, degree};
+}
+
+void Multigraph::Push(NodeId v, NodeId target) {
+  if (degree_[v] == stride_) Relayout();
+  slots_[static_cast<std::size_t>(v) * stride_ + degree_[v]++] = target;
+}
+
+void Multigraph::Relayout() {
+  const std::size_t stride = std::max<std::size_t>(4, 2 * stride_);
+  std::vector<NodeId> slots(num_nodes() * stride);
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    std::copy_n(slots_.begin() + v * stride_, degree_[v],
+                slots.begin() + v * stride);
+  }
+  slots_ = std::move(slots);
+  stride_ = stride;
 }
 
 bool Multigraph::IsRegular(std::size_t delta) const {
-  return std::all_of(slots_.begin(), slots_.end(),
-                     [delta](const auto& s) { return s.size() == delta; });
+  return std::all_of(degree_.begin(), degree_.end(),
+                     [delta](std::uint32_t d) { return d == delta; });
 }
 
 bool Multigraph::IsLazy(std::size_t min_loops) const {
@@ -58,7 +74,7 @@ std::size_t Multigraph::CutWeight(const std::vector<char>& in_set) const {
   std::size_t crossing = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
     if (!in_set[v]) continue;
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (w != v && !in_set[w]) ++crossing;
     }
   }
@@ -79,7 +95,7 @@ double Multigraph::ConductanceOf(const std::vector<char>& in_set,
 Graph Multigraph::ToSimpleGraph() const {
   GraphBuilder builder(num_nodes());
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (v < w) builder.AddEdge(v, w);
     }
   }
@@ -90,7 +106,7 @@ std::map<std::pair<NodeId, NodeId>, std::uint64_t> Multigraph::WeightedEdges()
     const {
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> weights;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (v < w) ++weights[{v, w}];
     }
   }
@@ -100,7 +116,7 @@ std::map<std::pair<NodeId, NodeId>, std::uint64_t> Multigraph::WeightedEdges()
 std::uint64_t Multigraph::TotalEdgeMultiplicity() const {
   std::uint64_t total = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (w != v) ++total;
     }
   }

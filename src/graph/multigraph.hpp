@@ -21,14 +21,24 @@ namespace overlay {
 
 class Graph;
 
-/// Undirected multigraph stored as per-node slot lists. An undirected edge
+/// Undirected multigraph stored as one flat n × stride slot array: node v's
+/// slots are the first Degree(v) entries of row v. An undirected edge
 /// {u, v}, u != v, appears once in u's slots and once in v's; a self-loop
 /// {v, v} appears once in v's slots.
+///
+/// Callers that know the final degree (Δ for benign graphs) pass it as the
+/// stride and never relayout. A row that outgrows the stride doubles it and
+/// relays every row out, keeping each row's order, so `Multigraph(n)` works
+/// for any degree sequence.
 class Multigraph {
  public:
-  explicit Multigraph(std::size_t num_nodes) : slots_(num_nodes) {}
+  explicit Multigraph(std::size_t num_nodes, std::size_t stride = 0)
+      : stride_(stride), degree_(num_nodes, 0), slots_(num_nodes * stride) {}
 
-  std::size_t num_nodes() const { return slots_.size(); }
+  std::size_t num_nodes() const { return degree_.size(); }
+
+  /// Slots reserved per row; rows reach this degree without a relayout.
+  std::size_t stride() const { return stride_; }
 
   /// Number of edge slots at v (the node's degree in Definition 2.1's sense).
   std::size_t Degree(NodeId v) const;
@@ -46,8 +56,18 @@ class Multigraph {
   /// Adds one self-loop slot at v.
   void AddSelfLoop(NodeId v);
 
+  /// Sets v's degree to `degree` (<= stride()) and returns v's row for the
+  /// caller to fill; the caller keeps the slot lists symmetric. Touches only
+  /// v's row and degree, so distinct nodes may be reset concurrently.
+  std::span<NodeId> ResetSlots(NodeId v, std::size_t degree);
+
   /// Uniformly random slot target of v (a single lazy-walk step).
-  NodeId RandomNeighbor(NodeId v, Rng& rng) const;
+  NodeId RandomNeighbor(NodeId v, Rng& rng) const {
+    OVERLAY_CHECK(v < num_nodes(), "node out of range");
+    const std::uint32_t degree = degree_[v];
+    OVERLAY_CHECK(degree != 0, "random step from isolated node");
+    return slots_[static_cast<std::size_t>(v) * stride_ + rng.NextBelow(degree)];
+  }
 
   /// True iff every node has exactly `delta` slots.
   bool IsRegular(std::size_t delta) const;
@@ -74,7 +94,14 @@ class Multigraph {
   std::uint64_t TotalEdgeMultiplicity() const;
 
  private:
-  std::vector<std::vector<NodeId>> slots_;
+  /// Appends one slot to v's row, relaying out first when the row is full.
+  void Push(NodeId v, NodeId target);
+  /// Doubles the stride (at least to 4) and moves every row to its new place.
+  void Relayout();
+
+  std::size_t stride_;
+  std::vector<std::uint32_t> degree_;
+  std::vector<NodeId> slots_;  ///< row v = [v·stride_, v·stride_ + degree_[v])
 };
 
 }  // namespace overlay

@@ -21,7 +21,7 @@ namespace {
 /// duplication) and preserves every asymptotic claim (see DESIGN.md §4).
 Multigraph PrepareBenign(const Graph& h, std::size_t delta,
                          std::size_t lambda) {
-  Multigraph g(h.num_nodes());
+  Multigraph g(h.num_nodes(), delta);
   for (const auto& [u, v] : h.EdgeList()) {
     for (std::size_t c = 0; c < lambda; ++c) g.AddEdge(u, v);
   }
@@ -110,7 +110,7 @@ HybridExpanderRun RunHybridExpander(const Graph& h,
       }
     }
 
-    Multigraph next(n);
+    Multigraph next(n, delta);
     std::vector<EdgeProvenance> provenance;
     for (NodeId v = 0; v < n; ++v) {
       auto& offers = by_endpoint[v];

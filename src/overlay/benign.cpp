@@ -13,7 +13,7 @@ Multigraph MakeBenign(const Graph& input, const ExpanderParams& params) {
   params.Validate(input.MaxDegree());
   OVERLAY_CHECK(input.num_nodes() >= 2, "need at least two nodes");
 
-  Multigraph g(input.num_nodes());
+  Multigraph g(input.num_nodes(), params.delta);
   // Step 1: copy each edge Λ times (minimum cut becomes >= Λ).
   for (const auto& [u, v] : input.EdgeList()) {
     for (std::size_t c = 0; c < params.lambda; ++c) {

@@ -23,7 +23,7 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   walk_opts.exec = params.exec;
   TokenWalkResult walks = RunTokenWalks(g, walk_opts, rng);
 
-  EvolutionResult result{Multigraph(n), {}, {}};
+  EvolutionResult result{Multigraph(n, params.delta), {}, {}};
   result.telemetry.rounds = params.walk_length + 1;  // walks + id replies
   result.telemetry.token_steps = walks.token_steps;
   result.telemetry.max_token_load = walks.max_load;
@@ -37,72 +37,132 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   // token engine: num_shards = 1 consumes the caller's RNG in the exact
   // historical order; any fixed (seed, num_shards) is deterministic
   // regardless of scheduling).
+  //
+  // Each shard also emits every kept edge (origin, endpoint), origin !=
+  // endpoint, into a list per origin shard, in endpoint-ascending order.
   const std::size_t accept_bound = params.AcceptBound();
-  std::vector<std::size_t> keep_count(n);
-  const auto select_for = [&](NodeId v, Rng& r) -> std::uint64_t {
-    const std::size_t arrived = walks.ArrivalCountAt(v);
-    std::size_t keep = arrived;
-    if (keep > accept_bound) {
-      // The partial Fisher–Yates runs on an index permutation (same draws,
-      // same swap sequence as permuting the bucket directly), then
-      // PermuteArrivalBucket applies it to the origins and the token join
-      // column in lockstep — the two can no longer be permuted apart.
-      std::vector<std::uint32_t> perm(arrived);
-      std::iota(perm.begin(), perm.end(), 0u);
-      for (std::size_t i = 0; i < accept_bound; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(r.NextBelow(arrived - i));
-        std::swap(perm[i], perm[j]);
-      }
-      walks.PermuteArrivalBucket(v, perm);
-      keep = accept_bound;
-    }
-    keep_count[v] = keep;
-    return arrived - keep;
-  };
-
   const std::size_t shards = params.exec.ShardsFor(n);
-  if (shards <= 1) {
-    for (NodeId v = 0; v < n; ++v) {
-      result.telemetry.tokens_discarded += select_for(v, rng);
-    }
-  } else {
-    std::vector<Rng> shard_rng;
+  const std::size_t block = (n + shards - 1) / shards;  // RunShardedBlocks'
+  struct KeptEdge {
+    NodeId origin;
+    NodeId endpoint;
+  };
+  // kept[s][d]: edges kept by shard s's endpoints whose origin is in
+  // shard d's block.
+  std::vector<std::vector<std::vector<KeptEdge>>> kept(shards);
+  std::vector<std::size_t> keep_count(n);
+  std::vector<std::uint64_t> discarded(shards, 0);
+  std::vector<Rng> shard_rng;
+  if (shards > 1) {
     shard_rng.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) shard_rng.push_back(rng.Split());
-    std::vector<std::uint64_t> discarded(shards, 0);
-    RunShardedBlocks(params.exec.Pool(), n, shards,
-                     [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                       for (std::size_t v = lo; v < hi; ++v) {
-                         discarded[s] +=
-                             select_for(static_cast<NodeId>(v), shard_rng[s]);
-                       }
-                     });
-    for (const std::uint64_t d : discarded) {
-      result.telemetry.tokens_discarded += d;
+  }
+  RunShardedBlocks(
+      params.exec.Pool(), n, shards,
+      [&](std::size_t s, std::size_t lo, std::size_t hi) {
+        // Stream, tally and edge lists stay local for the block and are
+        // written back once: neighbouring shards' entries share cache lines.
+        Rng& stream = shards > 1 ? shard_rng[s] : rng;
+        Rng r = stream;
+        std::uint64_t dropped = 0;
+        std::vector<std::vector<KeptEdge>> out(shards);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const NodeId v = static_cast<NodeId>(i);
+          const std::size_t arrived = walks.ArrivalCountAt(v);
+          std::size_t keep = arrived;
+          if (keep > accept_bound) {
+            // The partial Fisher–Yates runs on an index permutation (same
+            // draws, same swap sequence as permuting the bucket directly),
+            // then PermuteArrivalBucket applies it to the origins and the
+            // token join column in lockstep — the two can no longer be
+            // permuted apart.
+            std::vector<std::uint32_t> perm(arrived);
+            std::iota(perm.begin(), perm.end(), 0u);
+            for (std::size_t k = 0; k < accept_bound; ++k) {
+              const std::size_t j =
+                  k + static_cast<std::size_t>(r.NextBelow(arrived - k));
+              std::swap(perm[k], perm[j]);
+            }
+            walks.PermuteArrivalBucket(v, perm);
+            keep = accept_bound;
+          }
+          keep_count[v] = keep;
+          dropped += arrived - keep;
+          for (const NodeId origin : walks.ArrivalsAt(v).first(keep)) {
+            // A token that returned home would form a loop edge; the
+            // self-loop padding restores the degree, so nothing to emit.
+            if (origin != v) out[origin / block].push_back({origin, v});
+          }
+        }
+        stream = r;
+        discarded[s] = dropped;
+        kept[s] = std::move(out);
+      });
+  for (std::size_t s = 0; s < shards; ++s) {
+    result.telemetry.tokens_discarded += discarded[s];
+    for (const auto& edges : kept[s]) {
+      result.telemetry.reply_messages += edges.size();
+      result.telemetry.edges_created += edges.size();
     }
   }
 
-  // Edge establishment from the selected tokens. AddEdge touches both
-  // endpoints' slot lists, so this pass stays serial; it is O(edges) against
-  // the walks' O(n·Δ·ℓ).
-  for (NodeId v = 0; v < n; ++v) {
-    const auto arrived = walks.ArrivalsAt(v);
-    const auto tokens = params.record_paths
-                            ? walks.ArrivalTokensAt(v)
-                            : std::span<const std::uint32_t>{};
-    const std::size_t keep = keep_count[v];
-    for (std::size_t i = 0; i < keep; ++i) {
-      const NodeId origin = arrived[i];
-      if (origin == v) {
-        // A token that returned home would form a loop edge; the self-loop
-        // padding below restores the degree, so nothing to record.
-        continue;
-      }
-      result.next.AddEdge(v, origin);
-      ++result.telemetry.reply_messages;
-      ++result.telemetry.edges_created;
-      if (params.record_paths) {
+  // Edge establishment and self-loop padding, straight into the rows. Node
+  // x's row is what adding every kept edge {v, origin} for v ascending, then
+  // padding, would build: the endpoints v < x that kept a token of x
+  // (ascending), x's own kept origins in bucket order (skipping x), the
+  // endpoints v > x, then self-loops up to Δ. Shard d gathers the edges
+  // whose origin it owns by source shard in order, so each origin's
+  // endpoints arrive ascending, and fills only its own nodes' rows: any
+  // shard count produces the identical graph. Non-loop degrees never exceed
+  // Δ/2 (Δ/8 own tokens + 3Δ/8 accepted), so laziness holds by
+  // construction; a violation raises from the pool with the serial path's
+  // exception type.
+  const std::size_t launched = params.TokensPerNode();
+  RunShardedBlocks(
+      params.exec.Pool(), n, shards,
+      [&](std::size_t d, std::size_t lo, std::size_t hi) {
+        OVERLAY_CHECK(lo == d * block, "edge lists bucketed by other blocks");
+        // by[(x - lo)·launched + k]: the k-th endpoint that kept one of
+        // x's tokens; x launched Δ/8 tokens, so Δ/8 entries suffice.
+        std::vector<NodeId> by((hi - lo) * launched);
+        std::vector<std::uint32_t> count(hi - lo, 0);
+        for (std::size_t s = 0; s < shards; ++s) {
+          for (const KeptEdge& e : kept[s][d]) {
+            const std::size_t at = e.origin - lo;
+            by[at * launched + count[at]++] = e.endpoint;
+          }
+        }
+        for (std::size_t i = lo; i < hi; ++i) {
+          const NodeId x = static_cast<NodeId>(i);
+          const NodeId* const in_lo = by.data() + (i - lo) * launched;
+          const NodeId* const in_hi = in_lo + count[i - lo];
+          const auto own = walks.ArrivalsAt(x).first(keep_count[x]);
+          const std::size_t own_edges = static_cast<std::size_t>(
+              own.size() - std::count(own.begin(), own.end(), x));
+          OVERLAY_CHECK(
+              static_cast<std::size_t>(in_hi - in_lo) + own_edges <=
+                  params.delta,
+              "accept bound failed to cap the degree");
+          const auto row = result.next.ResetSlots(x, params.delta);
+          const NodeId* const split = std::lower_bound(in_lo, in_hi, x);
+          NodeId* out = std::copy(in_lo, split, row.data());
+          for (const NodeId origin : own) {
+            if (origin != x) *out++ = origin;
+          }
+          out = std::copy(split, in_hi, out);
+          std::fill(out, row.data() + row.size(), x);
+        }
+      });
+
+  // Provenance in the serial (endpoint ascending, bucket order) edge order.
+  if (params.record_paths) {
+    result.provenance.reserve(result.telemetry.edges_created);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto arrived = walks.ArrivalsAt(v);
+      const auto tokens = walks.ArrivalTokensAt(v);
+      for (std::size_t i = 0; i < keep_count[v]; ++i) {
+        const NodeId origin = arrived[i];
+        if (origin == v) continue;
         const auto path = walks.PathOf(tokens[i]);
         EdgeProvenance prov;
         prov.origin = origin;
@@ -112,25 +172,6 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
       }
     }
   }
-
-  // Self-loop padding back to Δ-regularity. Degrees never exceed Δ/2 non-loop
-  // slots (Δ/8 own tokens + 3Δ/8 accepted), so laziness holds by construction.
-  // AddSelfLoop(v) touches only node v's slot list, so the padding shards
-  // over the same contiguous node blocks (no randomness — any shard count
-  // produces the identical graph). Degree-cap violations raise from the
-  // pool with the serial path's exception type.
-  RunShardedBlocks(
-      params.exec.Pool(), n, shards,
-      [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const NodeId v = static_cast<NodeId>(i);
-          OVERLAY_CHECK(result.next.Degree(v) <= params.delta,
-                        "accept bound failed to cap the degree");
-          while (result.next.Degree(v) < params.delta) {
-            result.next.AddSelfLoop(v);
-          }
-        }
-      });
   return result;
 }
 

@@ -75,7 +75,7 @@ MessagePassingEvolutionResult RunEvolutionMessagePassing(
   }
   std::vector<SendScratch> scratch(drive_lanes);
 
-  MessagePassingEvolutionResult result{Multigraph(n), {}, 0, 0};
+  MessagePassingEvolutionResult result{Multigraph(n, params.delta), {}, 0, 0};
   const std::uint64_t tokens_launched = n * params.TokensPerNode();
 
   // Round 1: every node launches Δ/8 tokens (first walk step). Same payload

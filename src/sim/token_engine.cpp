@@ -91,9 +91,10 @@ void WalkTokenMajor(const Multigraph& g, const TokenWalkOptions& opts,
 /// pool:
 ///
 ///   phase A, by source shard: scan the shard's bucket in order drawing
-///     next slots from the shard's split RNG stream (all neighbor-slot
-///     reads are block-local), then counting-sort the moved walkers into
-///     per-destination-shard runs inside the shard's own staging segment;
+///     next slots from a local copy of the shard's split RNG stream (all
+///     neighbor-slot reads are block-local), then counting-sort the moved
+///     walkers into per-destination-shard runs inside the shard's own
+///     staging segment;
 ///   phase boundary: fold the S×S run-count matrix into next-bucket
 ///     offsets and absolute run starts (O(S²) scalar work);
 ///   phase B, by destination shard: concatenate the incoming runs in fixed
@@ -140,11 +141,14 @@ void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
   std::copy(position.begin(), position.end(), cur_pos.begin());
   std::iota(cur_tid.begin(), cur_tid.end(), 0u);
 
-  // cnt[s·S + d] = walkers moving s→d this step; run_start[s·S + d] = the
-  // absolute start of run (s, d) in run_pos/run_tid; run_cursor is phase
-  // A's per-shard scatter cursor row.
-  std::vector<std::size_t> cnt(S * S, 0), run_start(S * S, 0),
-      run_cursor(S * S, 0);
+  // Phase A's per-shard counters, one row per source shard:
+  // cnt[s·cnt_row + d] = walkers moving s→d this step, followed by the
+  // shard's S scatter cursors. Rows are padded by a cache line, so no two
+  // shards' hot counters share one. run_start[s·S + d] = the absolute start
+  // of run (s, d) in run_pos/run_tid.
+  constexpr std::size_t kLineWords = 64 / sizeof(std::size_t);
+  const std::size_t cnt_row = 2 * S + kLineWords;
+  std::vector<std::size_t> cnt(S * cnt_row, 0), run_start(S * S, 0);
   // Destination-side load counters over each shard's local node block.
   std::vector<std::vector<std::uint32_t>> shard_load(S);
   for (std::size_t s = 0; s < S; ++s) {
@@ -158,9 +162,13 @@ void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
   const auto phase_a = [&](std::size_t s, std::size_t step) {
     const std::size_t lo = bucket_off[s];
     const std::size_t hi = bucket_off[s + 1];
-    std::size_t* const my_cnt = cnt.data() + s * S;
+    std::size_t* const my_cnt = cnt.data() + s * cnt_row;
+    std::size_t* const my_cur = my_cnt + S;
     std::fill(my_cnt, my_cnt + S, 0);
-    Rng& my_rng = shard_rng[s];
+    // The shard's stream is copied into a local for the phase and written
+    // back once at its end: drawing in place would write the shared
+    // shard_rng array on every step.
+    Rng my_rng = shard_rng[s];
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId next = g.RandomNeighbor(cur_pos[i], my_rng);
       raw_next[i] = next;
@@ -169,9 +177,9 @@ void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
         result.path_nodes[cur_tid[i] * stride + step + 1] = next;
       }
     }
+    shard_rng[s] = my_rng;
     // Counting-sort scatter into per-destination runs inside [lo, hi) —
     // stable, so within a run walkers keep their bucket-scan order.
-    std::size_t* const my_cur = run_cursor.data() + s * S;
     my_cur[0] = lo;
     for (std::size_t d = 1; d < S; ++d) my_cur[d] = my_cur[d - 1] + my_cnt[d - 1];
     for (std::size_t i = lo; i < hi; ++i) {
@@ -186,7 +194,7 @@ void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
     // keep their intra-run order) — deterministic, scheduling-free.
     std::size_t out = new_off[d];
     for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t c = cnt[s * S + d];
+      const std::size_t c = cnt[s * cnt_row + d];
       const std::size_t src = run_start[s * S + d];
       std::copy_n(run_pos.begin() + src, c, cur_pos.begin() + out);
       std::copy_n(run_tid.begin() + src, c, cur_tid.begin() + out);
@@ -211,14 +219,14 @@ void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
       new_off[0] = 0;
       for (std::size_t d = 0; d < S; ++d) {
         std::size_t total = 0;
-        for (std::size_t s = 0; s < S; ++s) total += cnt[s * S + d];
+        for (std::size_t s = 0; s < S; ++s) total += cnt[s * cnt_row + d];
         new_off[d + 1] = new_off[d] + total;
       }
       for (std::size_t s = 0; s < S; ++s) {
         std::size_t at = bucket_off[s];
         for (std::size_t d = 0; d < S; ++d) {
           run_start[s * S + d] = at;
-          at += cnt[s * S + d];
+          at += cnt[s * cnt_row + d];
         }
       }
     } else {

@@ -18,9 +18,11 @@
 //     drawing each walker's next slot from the shard's split RNG stream —
 //     every neighbor-slot read falls inside the shard's node block, so the
 //     random-walk hot loop becomes a block-local scan instead of random
-//     access across the whole graph — then counting-sort the moved walkers
-//     into per-destination-shard runs (the same run-packed shape as the
-//     ShardedNetwork PackedRow staging);
+//     access across the whole graph. The stream is copied into a local for
+//     the phase and written back once at its end, and the shard's counters
+//     live on cache lines no other shard writes. Then counting-sort the
+//     moved walkers into per-destination-shard runs (the same run-packed
+//     shape as the ShardedNetwork PackedRow staging);
 //   phase B (by destination shard): concatenate the incoming runs in fixed
 //     source-shard order into the shard's next bucket and count the
 //     per-node loads destination-side (the Lemma 3.2 accounting, exact per

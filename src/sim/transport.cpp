@@ -76,9 +76,15 @@ std::size_t DecodeFrame(std::span<const std::uint8_t> buf, std::size_t offset,
   const std::size_t spill_at = spill.size();
   rows.resize(row_at + header.row_count);
   spill.resize(spill_at + header.spill_count);
-  std::memcpy(rows.data() + row_at, buf.data() + payload_at, row_bytes);
-  std::memcpy(spill.data() + spill_at, buf.data() + payload_at + row_bytes,
-              spill_bytes);
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes: skip the empty sections.
+  if (row_bytes != 0) {
+    std::memcpy(rows.data() + row_at, buf.data() + payload_at, row_bytes);
+  }
+  if (spill_bytes != 0) {
+    std::memcpy(spill.data() + spill_at, buf.data() + payload_at + row_bytes,
+                spill_bytes);
+  }
 
   const std::uint64_t expect = FramePayloadChecksum(
       std::span<const PackedRow>(rows).subspan(row_at),

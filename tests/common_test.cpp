@@ -42,6 +42,37 @@ TEST(Rng, NextBelowZeroBoundThrows) {
   EXPECT_THROW(rng.NextBelow(0), ContractViolation);
 }
 
+// The rejection sampler as first written: the threshold division runs
+// before every draw. NextBelow skips it when the first draw is >= bound;
+// the stream must not change.
+std::uint64_t ReferenceNextBelow(Rng& rng, std::uint64_t bound,
+                                 std::size_t& rejected) {
+  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
+  for (;;) {
+    const std::uint64_t r = rng.Next();
+    if (r >= threshold) return r % bound;
+    ++rejected;
+  }
+}
+
+TEST(Rng, NextBelowMatchesReferenceStream) {
+  // 2^63 + 1 rejects about half of all draws, so the rejection loop runs;
+  // 2^64 - 1 and 2^32 + 1 put the threshold at 1 and just below 2^32.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{80}, (std::uint64_t{1} << 32) + 1,
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    Rng got(bound ^ 0x5eedULL), want(bound ^ 0x5eedULL);
+    std::size_t rejected = 0;
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(got.NextBelow(bound), ReferenceNextBelow(want, bound, rejected))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(got.Next(), want.Next()) << "bound " << bound;
+    if (bound == (std::uint64_t{1} << 63) + 1) EXPECT_GT(rejected, 4000u);
+  }
+}
+
 TEST(Rng, NextBelowCoversAllValues) {
   Rng rng(11);
   std::set<std::uint64_t> seen;
