@@ -1,305 +1,171 @@
 #include "sim/token_engine.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <limits>
+#include <memory>
 
 #include "common/check.hpp"
 #include "sim/shard_pool.hpp"
 
 namespace overlay {
 
-namespace {
-
-/// Seeds result.token_origin / the walker start positions (v-major token
-/// order: node v owns token indices [v·T, (v+1)·T)) and, when requested,
-/// the flat path matrix with column 0 = origin.
-void InitTokens(std::size_t n, const TokenWalkOptions& opts,
-                std::vector<NodeId>& position, TokenWalkResult& result) {
-  const std::size_t num_tokens = n * opts.tokens_per_node;
-  result.token_origin.reserve(num_tokens);
-  position.reserve(num_tokens);
-  for (NodeId v = 0; v < n; ++v) {
-    for (std::size_t t = 0; t < opts.tokens_per_node; ++t) {
-      position.push_back(v);
-      result.token_origin.push_back(v);
-    }
-  }
-  if (opts.record_paths) {
-    // One flat matrix instead of num_tokens vectors: row i is token i's
-    // sequence; column 0 is the origin.
-    const std::size_t stride = opts.walk_length + 1;
-    result.path_stride = stride;
-    result.path_nodes.assign(num_tokens * stride, kInvalidNode);
-    for (std::size_t i = 0; i < num_tokens; ++i) {
-      result.path_nodes[i * stride] = position[i];
-    }
-  }
-}
-
-/// Arrivals as a CSR in (node, token-index) order — a stable counting sort
-/// by final position, matching the per-node push_back order the per-node
-/// vectors used to accumulate. Token-index order is part of the output
-/// contract: the walker-bucketed engine's internal bucket order must never
-/// leak into the CSR, so both engines finalize through this one pass.
-void FinalizeArrivals(std::size_t n, std::span<const NodeId> position,
-                      bool record_paths, TokenWalkResult& result) {
-  const std::size_t num_tokens = position.size();
-  std::vector<std::size_t>& offsets = result.arrival_offsets;
-  offsets.assign(n + 1, 0);
-  for (const NodeId at : position) ++offsets[at + 1];
-  for (NodeId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  result.arrival_origins.resize(num_tokens);
-  if (record_paths) result.arrival_token.resize(num_tokens);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < num_tokens; ++i) {
-    const std::size_t slot = cursor[position[i]]++;
-    result.arrival_origins[slot] = result.token_origin[i];
-    if (record_paths) {
-      result.arrival_token[slot] = static_cast<std::uint32_t>(i);
-    }
-  }
-}
-
-/// The token-major serial loop: tokens in index order, caller's RNG
-/// consumed directly — the historical stream, bit for bit.
-void WalkTokenMajor(const Multigraph& g, const TokenWalkOptions& opts,
-                    Rng& rng, std::vector<NodeId>& position,
-                    TokenWalkResult& result) {
+/// The token-range walk program (layout and contract in the header). Shard
+/// s owns origin block [s·B, (s+1)·B) — token indices [lo·T, hi·T) — in
+/// phases 0 and 3 and node block s in phases 1 and 2. Its count slab holds
+/// ℓ rows of n arrival counts, one per step; phases 1–2 overwrite the final
+/// row with the shard's scatter cursors.
+TokenWalkResult RunTokenWalks(const Multigraph& g, const TokenWalkOptions& opts,
+                              Rng& rng) {
+  OVERLAY_CHECK(opts.tokens_per_node >= 1, "need at least one token per node");
+  OVERLAY_CHECK(opts.walk_length >= 1, "walks must take at least one step");
+  OVERLAY_CHECK(opts.exec.num_shards >= 1, "need at least one shard");
   const std::size_t n = g.num_nodes();
-  const std::size_t num_tokens = position.size();
-  const std::size_t stride = opts.walk_length + 1;
-  std::vector<std::uint32_t> load(n, 0);
-  for (std::size_t step = 0; step < opts.walk_length; ++step) {
-    std::fill(load.begin(), load.end(), 0u);
-    for (std::size_t i = 0; i < num_tokens; ++i) {
-      const NodeId next = g.RandomNeighbor(position[i], rng);
-      position[i] = next;
-      ++load[next];
-      if (opts.record_paths) {
-        result.path_nodes[i * stride + step + 1] = next;
-      }
-    }
-    result.token_steps += num_tokens;
-    const auto step_max = *std::max_element(load.begin(), load.end());
-    result.max_load = std::max<std::uint64_t>(result.max_load, step_max);
-  }
-}
-
-/// The walker-bucketed engine (flashmob-style): walkers stay bucketed by
-/// current shard — shard s owns the contiguous node block
-/// [s·block, (s+1)·block) — and every step runs two barrier phases on the
-/// pool:
-///
-///   phase A, by source shard: scan the shard's bucket in order drawing
-///     next slots from a local copy of the shard's split RNG stream (all
-///     neighbor-slot reads are block-local), then counting-sort the moved
-///     walkers into per-destination-shard runs inside the shard's own
-///     staging segment;
-///   phase boundary: fold the S×S run-count matrix into next-bucket
-///     offsets and absolute run starts (O(S²) scalar work);
-///   phase B, by destination shard: concatenate the incoming runs in fixed
-///     source-shard order into the next bucket and count per-local-node
-///     loads destination-side; the boundary folds the per-shard maxima
-///     into max_load (the Lemma 3.2 accounting, exact per node per step).
-///
-/// Every buffer is hoisted here, before the step loop: the steady state is
-/// allocation-free. The RNG stream of shard s is fixed by (caller seed, S)
-/// and consumed in bucket order, which is itself a deterministic function
-/// of the previous step — so a fixed (seed, num_shards) replays
-/// bit-identically however phases land on workers.
-void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
-                  std::size_t shards, std::vector<NodeId>& position,
-                  TokenWalkResult& result) {
-  const std::size_t n = g.num_nodes();
-  const std::size_t num_tokens = position.size();
-  const std::size_t stride = opts.walk_length + 1;
-  const std::size_t S = shards;
-  const std::size_t block = (n + S - 1) / S;
-  const auto shard_of = [block](NodeId v) {
-    return static_cast<std::size_t>(v) / block;
-  };
-
-  // Per-shard RNG streams keyed by shard index, hoisted across all steps.
-  std::vector<Rng> shard_rng;
-  shard_rng.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) shard_rng.push_back(rng.Split());
-
-  // Walker buckets: (cur_pos, cur_tid) bucketed by current shard, bucket s
-  // spanning [bucket_off[s], bucket_off[s+1]). raw_next stages phase A's
-  // draws; (run_pos, run_tid) hold the per-(source, destination) runs; the
-  // next bucket layout is written back into (cur_pos, cur_tid), whose old
-  // values are dead once phase A scattered them.
-  std::vector<NodeId> cur_pos(num_tokens), raw_next(num_tokens),
-      run_pos(num_tokens);
-  std::vector<std::uint32_t> cur_tid(num_tokens), run_tid(num_tokens);
-  std::vector<std::size_t> bucket_off(S + 1, 0), new_off(S + 1, 0);
-
-  // Initial positions are v-major ascending, hence already bucket-sorted;
-  // token-index order within each bucket.
-  for (const NodeId v : position) ++bucket_off[shard_of(v) + 1];
-  for (std::size_t s = 0; s < S; ++s) bucket_off[s + 1] += bucket_off[s];
-  std::copy(position.begin(), position.end(), cur_pos.begin());
-  std::iota(cur_tid.begin(), cur_tid.end(), 0u);
-
-  // Phase A's per-shard counters, one row per source shard:
-  // cnt[s·cnt_row + d] = walkers moving s→d this step, followed by the
-  // shard's S scatter cursors. Rows are padded by a cache line, so no two
-  // shards' hot counters share one. run_start[s·S + d] = the absolute start
-  // of run (s, d) in run_pos/run_tid.
-  constexpr std::size_t kLineWords = 64 / sizeof(std::size_t);
-  const std::size_t cnt_row = 2 * S + kLineWords;
-  std::vector<std::size_t> cnt(S * cnt_row, 0), run_start(S * S, 0);
-  // Destination-side load counters over each shard's local node block.
-  std::vector<std::vector<std::uint32_t>> shard_load(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const std::size_t lo = std::min(n, s * block);
-    const std::size_t hi = std::min(n, lo + block);
-    shard_load[s].assign(hi - lo, 0u);
-  }
-  std::vector<std::uint64_t> shard_max(S, 0);
+  const std::size_t tokens_per_node = opts.tokens_per_node;
+  const std::size_t steps = opts.walk_length;
+  const std::size_t num_tokens = n * tokens_per_node;
+  OVERLAY_CHECK(num_tokens <= std::numeric_limits<std::uint32_t>::max(),
+                "token indices must fit the 32-bit join column");
   const bool record = opts.record_paths;
+  const std::size_t stride = steps + 1;
 
-  const auto phase_a = [&](std::size_t s, std::size_t step) {
-    const std::size_t lo = bucket_off[s];
-    const std::size_t hi = bucket_off[s + 1];
-    std::size_t* const my_cnt = cnt.data() + s * cnt_row;
-    std::size_t* const my_cur = my_cnt + S;
-    std::fill(my_cnt, my_cnt + S, 0);
-    // The shard's stream is copied into a local for the phase and written
-    // back once at its end: drawing in place would write the shared
-    // shard_rng array on every step.
-    Rng my_rng = shard_rng[s];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId next = g.RandomNeighbor(cur_pos[i], my_rng);
-      raw_next[i] = next;
-      ++my_cnt[shard_of(next)];
-      if (record) {
-        result.path_nodes[cur_tid[i] * stride + step + 1] = next;
+  TokenWalkResult result;
+  result.tokens_per_node = tokens_per_node;
+  result.token_steps = num_tokens * steps;
+  result.arrival_offsets.resize(n + 1);
+  result.arrival_origins.resize(num_tokens);
+  if (record) {
+    result.arrival_token.resize(num_tokens);
+    result.path_stride = stride;
+    result.path_nodes.resize(num_tokens * stride);
+  }
+  if (n == 0) return result;
+  result.arrival_offsets[n] = num_tokens;
+
+  const std::size_t S = opts.exec.ShardsFor(n);
+  const std::size_t block = (n + S - 1) / S;  // RunShardedBlocks' blocks
+  std::vector<Rng> shard_rng;
+  if (S > 1) {
+    shard_rng.reserve(S);
+    for (std::size_t s = 0; s < S; ++s) shard_rng.push_back(rng.Split());
+  }
+  const auto position = std::make_unique_for_overwrite<NodeId[]>(num_tokens);
+  const std::size_t slab_size = steps * n;
+  const std::size_t last_row = (steps - 1) * n;
+  const auto slab =
+      std::make_unique_for_overwrite<std::uint32_t[]>(S * slab_size);
+  // Per-block results of phase 1, one cache line each.
+  struct alignas(64) BlockTally {
+    std::uint64_t max_load = 0;
+    std::size_t total = 0;  ///< tokens ending in the block
+    std::size_t base = 0;   ///< arrival offset of the block's first node
+  };
+  std::vector<BlockTally> tally(S);
+
+  NodeId* const pos = position.get();
+  NodeId* const path = result.path_nodes.data();
+
+  // Phase 0, by token range: place the shard's tokens, walk all ℓ steps in
+  // (step, token-index) order on a local copy of the shard's stream (the
+  // caller's at S=1), count each step's arrivals into the shard's own slab.
+  const auto walk = [&](std::size_t s, std::size_t lo, std::size_t hi) {
+    std::uint32_t* const counts = slab.get() + s * slab_size;
+    std::fill_n(counts, slab_size, 0u);
+    const std::size_t first = lo * tokens_per_node;
+    const std::size_t end = hi * tokens_per_node;
+    for (NodeId v = static_cast<NodeId>(lo); v < hi; ++v) {
+      std::fill_n(pos + v * tokens_per_node, tokens_per_node, v);
+    }
+    if (record) {
+      for (std::size_t i = first; i < end; ++i) path[i * stride] = pos[i];
+    }
+    Rng& stream = S == 1 ? rng : shard_rng[s];
+    Rng r = stream;
+    for (std::size_t step = 0; step < steps; ++step) {
+      std::uint32_t* const load = counts + step * n;
+      for (std::size_t i = first; i < end; ++i) {
+        const NodeId next = g.RandomNeighbor(pos[i], r);
+        pos[i] = next;
+        ++load[next];
+        if (record) path[i * stride + step + 1] = next;
       }
     }
-    shard_rng[s] = my_rng;
-    // Counting-sort scatter into per-destination runs inside [lo, hi) —
-    // stable, so within a run walkers keep their bucket-scan order.
-    my_cur[0] = lo;
-    for (std::size_t d = 1; d < S; ++d) my_cur[d] = my_cur[d - 1] + my_cnt[d - 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t slot = my_cur[shard_of(raw_next[i])]++;
-      run_pos[slot] = raw_next[i];
-      run_tid[slot] = cur_tid[i];
-    }
+    stream = r;
   };
 
-  const auto phase_b = [&](std::size_t d) {
-    // Gather: incoming runs concatenate in fixed source-shard order (and
-    // keep their intra-run order) — deterministic, scheduling-free.
-    std::size_t out = new_off[d];
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t c = cnt[s * cnt_row + d];
-      const std::size_t src = run_start[s * S + d];
-      std::copy_n(run_pos.begin() + src, c, cur_pos.begin() + out);
-      std::copy_n(run_tid.begin() + src, c, cur_tid.begin() + out);
-      out += c;
-    }
-    // Offered-load accounting, destination-side: exact per-node counts
-    // over this shard's local block after the move.
-    auto& load = shard_load[d];
-    std::fill(load.begin(), load.end(), 0u);
-    const std::size_t base = d * block;
-    for (std::size_t i = new_off[d]; i < new_off[d + 1]; ++i) {
-      ++load[cur_pos[i] - base];
-    }
-    std::uint64_t mx = 0;
-    for (const std::uint32_t x : load) mx = std::max<std::uint64_t>(mx, x);
-    shard_max[d] = mx;
-  };
-
-  const auto between = [&](std::size_t phase) {
-    if ((phase & 1) == 0) {
-      // After phase A: next-bucket offsets + absolute run starts.
-      new_off[0] = 0;
-      for (std::size_t d = 0; d < S; ++d) {
-        std::size_t total = 0;
-        for (std::size_t s = 0; s < S; ++s) total += cnt[s * cnt_row + d];
-        new_off[d + 1] = new_off[d] + total;
-      }
-      for (std::size_t s = 0; s < S; ++s) {
-        std::size_t at = bucket_off[s];
-        for (std::size_t d = 0; d < S; ++d) {
-          run_start[s * S + d] = at;
-          at += cnt[s * cnt_row + d];
+  // Phase 1, by node block: the exact Lemma 3.2 load (per node, per step,
+  // summed over shards); the final row becomes block-local exclusive
+  // prefixes in (node, shard) order — token-index order inside a node.
+  const auto reduce = [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    std::uint64_t max_load = 0;
+    for (std::size_t row = 0; row < last_row; row += n) {
+      for (std::size_t v = lo; v < hi; ++v) {
+        std::uint64_t load = 0;
+        for (std::size_t s = 0; s < S; ++s) {
+          load += slab[s * slab_size + row + v];
         }
+        max_load = std::max(max_load, load);
       }
-    } else {
-      // After phase B: fold the step's load maxima, advance the buckets.
-      std::uint64_t step_max = 0;
-      for (const std::uint64_t mx : shard_max) step_max = std::max(step_max, mx);
-      result.max_load = std::max(result.max_load, step_max);
-      result.token_steps += num_tokens;
-      std::swap(bucket_off, new_off);
+    }
+    std::size_t at = 0;
+    for (std::size_t v = lo; v < hi; ++v) {
+      const std::size_t start = at;
+      for (std::size_t s = 0; s < S; ++s) {
+        std::uint32_t& count = slab[s * slab_size + last_row + v];
+        const std::uint32_t c = count;
+        count = static_cast<std::uint32_t>(at);
+        at += c;
+      }
+      max_load = std::max<std::uint64_t>(max_load, at - start);
+    }
+    tally[b].max_load = max_load;
+    tally[b].total = at;
+  };
+
+  // Phase 2, by node block: absolute offsets, prefixes become cursors.
+  const auto place = [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    const auto base = static_cast<std::uint32_t>(tally[b].base);
+    for (std::size_t v = lo; v < hi; ++v) {
+      result.arrival_offsets[v] = base + slab[last_row + v];
+      for (std::size_t s = 0; s < S; ++s) {
+        slab[s * slab_size + last_row + v] += base;
+      }
+    }
+  };
+
+  // Phase 3, by token range: scatter in token-index order.
+  const auto scatter = [&](std::size_t s, std::size_t lo, std::size_t hi) {
+    std::uint32_t* const cursor = slab.get() + s * slab_size + last_row;
+    std::size_t i = lo * tokens_per_node;
+    for (NodeId v = static_cast<NodeId>(lo); v < hi; ++v) {
+      for (std::size_t t = 0; t < tokens_per_node; ++t, ++i) {
+        const std::uint32_t slot = cursor[pos[i]]++;
+        result.arrival_origins[slot] = v;
+        if (record) result.arrival_token[slot] = static_cast<std::uint32_t>(i);
+      }
     }
   };
 
   opts.exec.Pool().RunPhased(
-      S, 2 * opts.walk_length,
+      S, 4,
       [&](std::size_t s, std::size_t phase) {
-        if ((phase & 1) == 0) {
-          phase_a(s, phase >> 1);
-        } else {
-          phase_b(s);
+        const std::size_t lo = std::min(n, s * block);
+        const std::size_t hi = std::min(n, lo + block);
+        switch (phase) {
+          case 0: walk(s, lo, hi); break;
+          case 1: reduce(s, lo, hi); break;
+          case 2: place(s, lo, hi); break;
+          default: scatter(s, lo, hi); break;
         }
       },
-      between);
-
-  // Back to token-index order for the shared CSR finalization: bucket
-  // order dies here.
-  for (std::size_t i = 0; i < num_tokens; ++i) {
-    position[cur_tid[i]] = cur_pos[i];
-  }
-}
-
-void CheckWalkOptions(const TokenWalkOptions& opts) {
-  OVERLAY_CHECK(opts.tokens_per_node >= 1, "need at least one token per node");
-  OVERLAY_CHECK(opts.walk_length >= 1, "walks must take at least one step");
-  OVERLAY_CHECK(opts.exec.num_shards >= 1, "need at least one shard");
-}
-
-}  // namespace
-
-TokenWalkResult RunTokenWalks(const Multigraph& g, const TokenWalkOptions& opts,
-                              Rng& rng) {
-  CheckWalkOptions(opts);
-  const std::size_t n = g.num_nodes();
-
-  TokenWalkResult result;
-  std::vector<NodeId> position;
-  InitTokens(n, opts, position, result);
-  if (!position.empty()) {
-    const std::size_t shards = opts.exec.ShardsFor(n);
-    if (shards <= 1) {
-      // Serial fast path: the token-major loop, consuming the caller's RNG
-      // directly — the historical stream bit for bit.
-      WalkTokenMajor(g, opts, rng, position, result);
-    } else {
-      WalkBucketed(g, opts, rng, shards, position, result);
-    }
-  }
-  FinalizeArrivals(n, position, opts.record_paths, result);
-  return result;
-}
-
-TokenWalkResult RunTokenWalksTokenMajor(const Multigraph& g,
-                                        const TokenWalkOptions& opts,
-                                        Rng& rng) {
-  CheckWalkOptions(opts);
-  const std::size_t n = g.num_nodes();
-
-  TokenWalkResult result;
-  std::vector<NodeId> position;
-  InitTokens(n, opts, position, result);
-  if (!position.empty()) {
-    WalkTokenMajor(g, opts, rng, position, result);
-  }
-  FinalizeArrivals(n, position, opts.record_paths, result);
+      [&](std::size_t phase) {
+        if (phase != 1) return;
+        std::size_t base = 0;
+        for (BlockTally& t : tally) {
+          t.base = base;
+          base += t.total;
+          result.max_load = std::max(result.max_load, t.max_load);
+        }
+      });
   return result;
 }
 

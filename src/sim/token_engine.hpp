@@ -1,44 +1,45 @@
-// Walker-centric random-walk token engine (fast path of the simulator).
+// Token-parallel random-walk engine (fast path of the simulator).
 //
 // CreateExpander moves n·Δ/8 tokens for ℓ rounds per evolution. Routing each
 // token as a generic Message through SyncNetwork works but dominates runtime
 // at n = 2^15+, so this engine moves tokens directly over multigraph slot
 // arrays with *identical* semantics: one uniform incident slot per token per
 // round, per-node offered-load accounting per round, drop-free (Lemma 3.2:
-// loads stay below 3Δ/8 w.h.p., which the caller checks via max_offered_load).
+// loads stay below 3Δ/8 w.h.p., which the caller checks via max_load).
 // tests/token_engine_test.cpp verifies the endpoint distribution matches
 // the generic message-passing engine statistically.
 //
-// Execution layout (flashmob-style walker batching): above one shard the
-// engine keeps the active walkers *bucketed by current shard* — shard s owns
-// the contiguous node block [s·B, (s+1)·B) — and each step runs two
-// barrier-synchronized phases on the ShardPool:
+// Execution layout: the walks are independent, so the engine is parallel
+// over tokens. Node v owns token indices [v·T, (v+1)·T); shard s owns the
+// tokens of its origin block [s·B, (s+1)·B) (B = ⌈n/S⌉) and never hands
+// them to another shard. One RunTokenWalks is four phases on the ShardPool
+// (three barriers, whatever ℓ is):
 //
-//   phase A (by source shard): scan the shard's walker bucket in order,
-//     drawing each walker's next slot from the shard's split RNG stream —
-//     every neighbor-slot read falls inside the shard's node block, so the
-//     random-walk hot loop becomes a block-local scan instead of random
-//     access across the whole graph. The stream is copied into a local for
-//     the phase and written back once at its end, and the shard's counters
-//     live on cache lines no other shard writes. Then counting-sort the
-//     moved walkers into per-destination-shard runs (the same run-packed
-//     shape as the ShardedNetwork PackedRow staging);
-//   phase B (by destination shard): concatenate the incoming runs in fixed
-//     source-shard order into the shard's next bucket and count the
-//     per-node loads destination-side (the Lemma 3.2 accounting, exact per
-//     node per step, merged to max_load at the phase boundary).
+//   phase 0 (by token range): place the shard's tokens (and path column 0),
+//     walk all ℓ steps in (step, token-index) order on a local copy of the
+//     shard's RNG stream, and count every step's arrivals into the shard's
+//     own ℓ × n count slab (zeroed by the shard, so it is first-touched in
+//     parallel);
+//   phase 1 (by node block): sum the S slabs per node per step — the exact
+//     Lemma 3.2 load, folded into max_load — and turn the final step's
+//     per-(shard, node) counts into block-local exclusive prefixes; the
+//     boundary prefix-sums the S block totals;
+//   phase 2 (by node block): write the absolute arrival_offsets and turn
+//     each prefix into that shard's scatter cursor for the node;
+//   phase 3 (by token range): scatter the shard's tokens into the arrival
+//     CSR in token-index order.
 //
-// All buffers are hoisted before the step loop — the steady state is
-// allocation-free. num_shards = 1 is the historical token-major serial
-// stream (the caller's RNG consumed directly, token-index order); see
-// ExecPolicy in sim/engine.hpp for the determinism contract.
+// Determinism (ExecPolicy in sim/engine.hpp): num_shards = 1 consumes the
+// caller's RNG directly in (step, token-index) order — the historical
+// token-major stream, bit for bit. Above one shard, shard s draws from the
+// s-th rng.Split() stream in the same order over its own tokens, so every
+// output is a deterministic function of (seed, num_shards) however phases
+// land on workers. A token's draws depend only on its shard's range.
 //
 // Results are structure-of-arrays like the network arenas: arrivals are one
 // CSR (origins + offsets, no per-node vectors) and recorded paths are one
-// flat (tokens × (ℓ+1)) matrix — at Δ/8 tokens per node the per-token-vector
-// layout used to cost one allocation per token. The CSR is finalized in
-// token-index order regardless of engine: bucket order never leaks into the
-// output layout.
+// flat (tokens × (ℓ+1)) matrix. Within every node's arrival bucket, tokens
+// appear in token-index order at every shard count.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +97,7 @@ struct TokenWalkResult {
   std::uint64_t token_steps = 0;
 
   /// When paths are recorded: flat row-major matrix, row i = token i's node
-  /// sequence of length ℓ+1 with PathOf(i).front() = origin. Token order
-  /// matches `token_origin`.
+  /// sequence of length ℓ+1 with PathOf(i).front() = OriginOf(i).
   std::vector<NodeId> path_nodes;
   std::size_t path_stride = 0;  ///< ℓ+1 when recorded, else 0
 
@@ -108,8 +108,12 @@ struct TokenWalkResult {
     return {path_nodes.data() + i * path_stride, path_stride};
   }
 
-  /// Origin of token i (parallel to the path rows when recorded).
-  std::vector<NodeId> token_origin;
+  /// Tokens launched per node: node v owns token indices [v·T, (v+1)·T).
+  std::size_t tokens_per_node = 0;
+  /// Origin of token i.
+  NodeId OriginOf(std::size_t i) const {
+    return static_cast<NodeId>(i / tokens_per_node);
+  }
 };
 
 struct TokenWalkOptions {
@@ -118,11 +122,11 @@ struct TokenWalkOptions {
   /// Record full node sequences (needed by the Theorem 1.3 spanning-tree
   /// unwinding); costs O(tokens · ℓ) memory.
   bool record_paths = false;
-  /// Execution context (sim/engine.hpp): num_shards = 1 runs the exact
-  /// historical token-major serial stream; above 1 the walker-bucketed
-  /// engine keeps one split RNG stream per shard, keyed by shard index, so
-  /// a fixed (seed, num_shards) replays bit-identically regardless of
-  /// scheduling.
+  /// Execution context (sim/engine.hpp): num_shards = 1 consumes the
+  /// caller's RNG as the historical token-major serial stream; above 1 each
+  /// shard walks its own token range on its own split RNG stream, keyed by
+  /// shard index, so a fixed (seed, num_shards) replays bit-identically
+  /// regardless of scheduling (the outputs differ between shard counts).
   ExecPolicy exec;
 };
 
@@ -131,13 +135,5 @@ struct TokenWalkOptions {
 /// the token's current node (self-loop slots keep it in place).
 TokenWalkResult RunTokenWalks(const Multigraph& g, const TokenWalkOptions& opts,
                               Rng& rng);
-
-/// The token-major serial reference engine: iterates tokens in index order
-/// each step, consuming the caller's RNG directly — the exact stream
-/// RunTokenWalks produces at num_shards = 1 (`opts.exec` is ignored). Kept
-/// as the differential baseline for the walker-bucketed engine and the
-/// bench_token_load throughput comparison.
-TokenWalkResult RunTokenWalksTokenMajor(const Multigraph& g,
-                                        const TokenWalkOptions& opts, Rng& rng);
 
 }  // namespace overlay

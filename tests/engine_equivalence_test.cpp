@@ -19,6 +19,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -901,28 +903,94 @@ Multigraph LazyRing(std::size_t n, std::size_t delta) {
   return m;
 }
 
-TEST(EngineEquivalence, TokenWalksBucketedEngineMatchesTokenMajorAtS1) {
-  // The ExecPolicy contract applied to the walker-bucketed token engine:
-  // num_shards = 1 IS the historical serial stream. RunTokenWalks at S=1
-  // must be bit-identical to the token-major reference loop — same RNG
-  // consumption order, same CSR arrivals, join column, paths, telemetry.
-  const Multigraph m = LazyRing(40, 8);
-  for (const std::uint64_t seed : {13ull, 29ull, 57ull}) {
-    const TokenWalkOptions opts{.tokens_per_node = 2,
-                                .walk_length = 5,
-                                .record_paths = true};
-    Rng rng_fast(seed);
-    Rng rng_ref(seed);
-    const auto fast = RunTokenWalks(m, opts, rng_fast);
-    const auto ref = RunTokenWalksTokenMajor(m, opts, rng_ref);
-    EXPECT_EQ(ChecksumTokenWalks(fast), ChecksumTokenWalks(ref))
-        << "seed " << seed;
-    EXPECT_EQ(fast.arrival_origins, ref.arrival_origins);
-    EXPECT_EQ(fast.arrival_token, ref.arrival_token);
-    EXPECT_EQ(fast.token_origin, ref.token_origin);
-    // Both engines must have drained the caller's RNG identically: the next
-    // draw continues the same stream.
-    EXPECT_EQ(rng_fast.Next(), rng_ref.Next()) << "seed " << seed;
+/// The S=1 oracle: the token-major serial loop and stable counting-sort
+/// CSR finalisation the engine used before it went token-parallel, kept
+/// here verbatim in behaviour — tokens in index order every step, the
+/// caller's RNG consumed directly, per-step load = a fresh per-node count.
+TokenWalkResult TokenMajorOracle(const Multigraph& g,
+                                 const TokenWalkOptions& opts, Rng& rng) {
+  const std::size_t n = g.num_nodes();
+  const std::size_t num_tokens = n * opts.tokens_per_node;
+  const std::size_t stride = opts.walk_length + 1;
+  TokenWalkResult result;
+  result.tokens_per_node = opts.tokens_per_node;
+  std::vector<NodeId> position, origin;
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::size_t t = 0; t < opts.tokens_per_node; ++t) {
+      position.push_back(v);
+      origin.push_back(v);
+    }
+  }
+  if (opts.record_paths) {
+    result.path_stride = stride;
+    result.path_nodes.assign(num_tokens * stride, kInvalidNode);
+    for (std::size_t i = 0; i < num_tokens; ++i) {
+      result.path_nodes[i * stride] = position[i];
+    }
+  }
+  std::vector<std::uint32_t> load(n, 0);
+  for (std::size_t step = 0; step < opts.walk_length && num_tokens > 0;
+       ++step) {
+    std::fill(load.begin(), load.end(), 0u);
+    for (std::size_t i = 0; i < num_tokens; ++i) {
+      const NodeId next = g.RandomNeighbor(position[i], rng);
+      position[i] = next;
+      ++load[next];
+      if (opts.record_paths) result.path_nodes[i * stride + step + 1] = next;
+    }
+    result.token_steps += num_tokens;
+    result.max_load = std::max<std::uint64_t>(
+        result.max_load, *std::max_element(load.begin(), load.end()));
+  }
+  std::vector<std::size_t>& offsets = result.arrival_offsets;
+  offsets.assign(n + 1, 0);
+  for (const NodeId at : position) ++offsets[at + 1];
+  for (NodeId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  result.arrival_origins.resize(num_tokens);
+  if (opts.record_paths) result.arrival_token.resize(num_tokens);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < num_tokens; ++i) {
+    const std::size_t slot = cursor[position[i]]++;
+    result.arrival_origins[slot] = origin[i];
+    if (opts.record_paths) {
+      result.arrival_token[slot] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return result;
+}
+
+TEST(EngineEquivalence, TokenWalksMatchTokenMajorOracleAtS1) {
+  // The ExecPolicy contract applied to the token engine: num_shards = 1 IS
+  // the historical serial stream. RunTokenWalks at S=1 must be
+  // bit-identical to the token-major oracle — same RNG consumption order,
+  // same CSR arrivals, join column, paths and telemetry.
+  for (const std::size_t n : {0ul, 7ul, 40ul, 300ul}) {
+    const Multigraph m = LazyRing(n, 8);
+    for (const std::uint64_t seed : {13ull, 29ull, 57ull}) {
+      for (const bool record : {false, true}) {
+        const TokenWalkOptions opts{.tokens_per_node = 3,
+                                    .walk_length = 5,
+                                    .record_paths = record};
+        Rng rng_fast(seed);
+        Rng rng_ref(seed);
+        const auto fast = RunTokenWalks(m, opts, rng_fast);
+        const auto ref = TokenMajorOracle(m, opts, rng_ref);
+        const std::string where = "n " + std::to_string(n) + " seed " +
+                                  std::to_string(seed) + " paths " +
+                                  std::to_string(record);
+        EXPECT_EQ(ChecksumTokenWalks(fast), ChecksumTokenWalks(ref)) << where;
+        EXPECT_EQ(fast.arrival_origins, ref.arrival_origins) << where;
+        EXPECT_EQ(fast.arrival_offsets, ref.arrival_offsets) << where;
+        EXPECT_EQ(fast.arrival_token, ref.arrival_token) << where;
+        EXPECT_EQ(fast.path_nodes, ref.path_nodes) << where;
+        EXPECT_EQ(fast.path_stride, ref.path_stride) << where;
+        EXPECT_EQ(fast.max_load, ref.max_load) << where;
+        EXPECT_EQ(fast.token_steps, ref.token_steps) << where;
+        // Both must have drained the caller's RNG identically: the next
+        // draw continues the same stream.
+        EXPECT_EQ(rng_fast.Next(), rng_ref.Next()) << where;
+      }
+    }
   }
 }
 
@@ -950,6 +1018,24 @@ TEST(EngineEquivalence, TokenWalksReplayPerShardCountAndConserve) {
       EXPECT_EQ(a.token_steps, 40u * 2u * 5u);
       EXPECT_GE(a.max_load, 2u);
     }
+  }
+}
+
+TEST(EngineEquivalence, TokenWalksShardedReferenceChecksums) {
+  // Above one shard each shard walks its own token range on its own split
+  // stream, so outputs are a function of (seed, S). Pinning the reference
+  // values makes any change of that stream a visible, recorded event.
+  const Multigraph m = LazyRing(40, 8);
+  const std::pair<std::size_t, std::uint64_t> want[] = {
+      {2, 11494625368593642492ull}, {4, 6058285431881069497ull}};
+  for (const auto& [shards, checksum] : want) {
+    const TokenWalkOptions opts{.tokens_per_node = 2,
+                                .walk_length = 5,
+                                .record_paths = true,
+                                .exec = {.num_shards = shards}};
+    Rng rng(13);
+    EXPECT_EQ(ChecksumTokenWalks(RunTokenWalks(m, opts, rng)), checksum)
+        << "S " << shards;
   }
 }
 

@@ -4,8 +4,10 @@
 // (PathOf), mirroring the network engines' arena format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -58,7 +60,7 @@ TEST(TokenEngine, PathsAreValidWalks) {
   for (std::size_t i = 0; i < result.num_paths(); ++i) {
     const auto path = result.PathOf(i);
     ASSERT_EQ(path.size(), 7u);
-    EXPECT_EQ(path.front(), result.token_origin[i]);
+    EXPECT_EQ(path.front(), result.OriginOf(i));
     for (std::size_t s = 0; s + 1 < path.size(); ++s) {
       // Every step is a real edge or a lazy self-loop stay.
       EXPECT_TRUE(path[s] == path[s + 1] || simple.HasEdge(path[s], path[s + 1]));
@@ -94,7 +96,7 @@ TEST(TokenEngine, ArrivalTokensJoinArrivalsToPaths) {
       const auto path = result.PathOf(tokens[i]);
       EXPECT_EQ(path.back(), v);
       EXPECT_EQ(path.front(), origins[i]);
-      EXPECT_EQ(result.token_origin[tokens[i]], origins[i]);
+      EXPECT_EQ(result.OriginOf(tokens[i]), origins[i]);
     }
   }
 }
@@ -138,12 +140,13 @@ TEST(TokenEngine, ShardedWalksDeterministicAndConserving) {
   }
 }
 
-TEST(TokenEngine, BucketOrderNeverLeaksIntoArrivalOrder) {
-  // The walker-bucketed engine traverses walkers shard bucket by shard
-  // bucket, but the CSR contract is token-index order within every node's
-  // arrival bucket (the order the serial engine's per-node push_backs
-  // produced). The join column makes the contract checkable: it must be
-  // strictly ascending inside each bucket at every shard count.
+TEST(TokenEngine, ArrivalOrderIsTokenIndexOrderAtEveryShardCount) {
+  // Shards scatter their own token ranges into the arrival CSR through
+  // per-(shard, node) cursors, but the CSR contract is token-index order
+  // within every node's arrival bucket (the order the serial engine's
+  // per-node push_backs produced). The join column makes the contract
+  // checkable: it must be strictly ascending inside each bucket at every
+  // shard count.
   const Multigraph m = LazyCycle(48, 8);
   for (const std::size_t shards : {2ul, 4ul, 8ul}) {
     Rng rng(21);
@@ -158,11 +161,11 @@ TEST(TokenEngine, BucketOrderNeverLeaksIntoArrivalOrder) {
       const auto origins = r.ArrivalsAt(v);
       for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
         ASSERT_LT(tokens[i], tokens[i + 1])
-            << "bucket order leaked at node " << v << " S " << shards;
+            << "token order broken at node " << v << " S " << shards;
       }
       // Origins and the join column stay in lockstep.
       for (std::size_t i = 0; i < tokens.size(); ++i) {
-        ASSERT_EQ(origins[i], r.token_origin[tokens[i]]);
+        ASSERT_EQ(origins[i], r.OriginOf(tokens[i]));
       }
     }
   }
@@ -218,7 +221,7 @@ TEST(TokenEngine, PermuteArrivalBucketKeepsOriginsAndJoinInLockstep) {
   // The permuted bucket still joins arrivals to their own paths.
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(r.PathOf(tokens[i]).back(), v);
-    EXPECT_EQ(r.token_origin[tokens[i]], origins[i]);
+    EXPECT_EQ(r.OriginOf(tokens[i]), origins[i]);
   }
   // A size-mismatched permutation is a contract violation.
   EXPECT_THROW(
@@ -228,8 +231,9 @@ TEST(TokenEngine, PermuteArrivalBucketKeepsOriginsAndJoinInLockstep) {
 
 TEST(TokenEngine, SmokeAtEnvShardCount) {
   // CI's TSan shard-count matrix drives this test at S ∈ {1, 2, 4} via
-  // TOKEN_ENGINE_SMOKE_SHARDS, putting the bucketed phase machinery under
-  // the race detector at every shard shape; unset, it defaults to S=2.
+  // TOKEN_ENGINE_SMOKE_SHARDS, putting the four-phase token-range program
+  // (per-shard count slabs, block reduction, cursor scatter) under the race
+  // detector at every shard shape; unset, it defaults to S=2.
   std::size_t shards = 2;
   if (const char* env = std::getenv("TOKEN_ENGINE_SMOKE_SHARDS")) {
     const auto parsed = std::strtoull(env, nullptr, 10);
@@ -247,6 +251,105 @@ TEST(TokenEngine, SmokeAtEnvShardCount) {
   EXPECT_EQ(a.arrival_offsets, b.arrival_offsets);
   EXPECT_EQ(a.max_load, b.max_load);
   EXPECT_EQ(a.token_steps, 64u * 4u * 8u);
+}
+
+/// Checks one sharded run against what the recorded paths say it must be:
+/// the exact per-step, per-node load maximum, the arrival CSR as a stable
+/// counting sort of the final path column, the token-step count, and replay
+/// determinism for the same (seed, S). Also pins that recording paths does
+/// not change the walks.
+void ExpectWalkContract(const Multigraph& m, std::size_t tokens_per_node,
+                        std::size_t walk_length, std::size_t shards,
+                        std::uint64_t seed) {
+  const std::size_t n = m.num_nodes();
+  const std::size_t num_tokens = n * tokens_per_node;
+  SCOPED_TRACE("n " + std::to_string(n) + " S " + std::to_string(shards));
+  const TokenWalkOptions opts{.tokens_per_node = tokens_per_node,
+                              .walk_length = walk_length,
+                              .record_paths = true,
+                              .exec = {.num_shards = shards}};
+  Rng rng(seed);
+  const auto r = RunTokenWalks(m, opts, rng);
+  ASSERT_EQ(r.num_paths(), num_tokens);
+  EXPECT_EQ(r.token_steps, num_tokens * walk_length);
+
+  // Brute-force Lemma 3.2 recount from the paths.
+  std::uint64_t max_load = 0;
+  for (std::size_t step = 1; step <= walk_length; ++step) {
+    std::vector<std::uint64_t> load(n, 0);
+    for (std::size_t i = 0; i < num_tokens; ++i) ++load[r.PathOf(i)[step]];
+    for (const std::uint64_t l : load) max_load = std::max(max_load, l);
+  }
+  EXPECT_EQ(r.max_load, max_load);
+
+  // Stable counting sort of the final column, in token-index order.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t i = 0; i < num_tokens; ++i) {
+    ++offsets[r.PathOf(i).back() + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<NodeId> origins(num_tokens);
+  std::vector<std::uint32_t> tokens(num_tokens);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < num_tokens; ++i) {
+    const std::size_t slot = cursor[r.PathOf(i).back()]++;
+    origins[slot] = static_cast<NodeId>(i / tokens_per_node);
+    tokens[slot] = static_cast<std::uint32_t>(i);
+  }
+  EXPECT_EQ(r.arrival_offsets, offsets);
+  EXPECT_EQ(r.arrival_origins, origins);
+  EXPECT_EQ(r.arrival_token, tokens);
+  for (std::size_t i = 0; i < num_tokens; ++i) {
+    ASSERT_EQ(r.PathOf(i).front(), r.OriginOf(i));
+  }
+
+  // Replay: same (seed, S), same everything, same stream left behind.
+  Rng rng_b(seed);
+  const auto b = RunTokenWalks(m, opts, rng_b);
+  EXPECT_EQ(b.arrival_origins, r.arrival_origins);
+  EXPECT_EQ(b.arrival_offsets, r.arrival_offsets);
+  EXPECT_EQ(b.arrival_token, r.arrival_token);
+  EXPECT_EQ(b.path_nodes, r.path_nodes);
+  EXPECT_EQ(b.max_load, r.max_load);
+  EXPECT_EQ(rng_b.Next(), rng.Next());
+
+  // Recording paths costs memory, never draws.
+  Rng rng_bare(seed);
+  TokenWalkOptions bare_opts = opts;
+  bare_opts.record_paths = false;
+  const auto bare = RunTokenWalks(m, bare_opts, rng_bare);
+  EXPECT_EQ(bare.arrival_origins, r.arrival_origins);
+  EXPECT_EQ(bare.arrival_offsets, r.arrival_offsets);
+  EXPECT_EQ(bare.max_load, r.max_load);
+  EXPECT_TRUE(bare.arrival_token.empty());
+}
+
+TEST(TokenEngine, ShardedWalksMatchPathRecount) {
+  // n = 48 divides by 2, 3, 4 and 8; n = 50 divides by none but 2; n = 9
+  // at S = 4 leaves the last ⌈n/S⌉ block empty.
+  for (const std::size_t n : {9ul, 48ul, 50ul}) {
+    const Multigraph m = LazyCycle(n, 8);
+    for (const std::size_t shards : {2ul, 3ul, 4ul, 8ul}) {
+      ExpectWalkContract(m, 3, 6, shards, 31);
+    }
+  }
+}
+
+TEST(TokenEngine, ShardedWalksOnTinyAndEmptyGraphs) {
+  // More shards than nodes clamps to one shard per node; n = 0 is a
+  // zero-token run with a one-slot offset array.
+  for (const std::size_t shards : {2ul, 3ul, 4ul, 8ul}) {
+    ExpectWalkContract(LazyCycle(3, 4), 2, 4, shards, 7);
+    ExpectWalkContract(Multigraph(0), 2, 4, shards, 7);
+  }
+  Rng rng(1);
+  const auto empty = RunTokenWalks(
+      Multigraph(0), {.tokens_per_node = 2, .walk_length = 3,
+                      .exec = {.num_shards = 8}}, rng);
+  EXPECT_EQ(empty.arrival_offsets, std::vector<std::size_t>{0});
+  EXPECT_TRUE(empty.arrival_origins.empty());
+  EXPECT_EQ(empty.max_load, 0u);
+  EXPECT_EQ(empty.token_steps, 0u);
 }
 
 TEST(TokenEngine, RejectsDegenerateOptions) {
